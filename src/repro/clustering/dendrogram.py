@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ClusteringError
 
 
@@ -140,6 +142,28 @@ class Dendrogram:
         while current not in ancestors_i:
             current = parent[current]
         return self.height(current)
+
+    def cophenetic_condensed(self) -> np.ndarray:
+        """Cophenetic distances of all leaf pairs, in condensed order.
+
+        Entry ``(i, j)``, ``i < j``, sits at the row-major upper-triangle
+        index (scipy's ``cophenet`` layout).  One pass over the merges
+        writes each pair exactly once — at the merge that first joins
+        them — so the cost is O(n^2), not a tree walk per pair.
+        """
+        n = self.n_leaves
+        out = np.zeros(n * (n - 1) // 2, dtype=float)
+        members: dict[int, np.ndarray] = {leaf: np.array([leaf]) for leaf in range(n)}
+        for k, merge in enumerate(self.merges):
+            left = members.pop(merge.left)
+            right = members.pop(merge.right)
+            a = np.repeat(left, len(right))
+            b = np.tile(right, len(left))
+            lo = np.minimum(a, b)
+            hi = np.maximum(a, b)
+            out[lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)] = merge.height
+            members[n + k] = np.concatenate([left, right])
+        return out
 
     def to_linkage_array(self) -> list[list[float]]:
         """Scipy-compatible ``(n-1) x 4`` linkage matrix (as nested lists)."""

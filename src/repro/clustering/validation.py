@@ -61,14 +61,8 @@ def cophenetic_correlation(matrix: CondensedMatrix, dendrogram: Dendrogram) -> f
         raise ClusteringError("dendrogram does not match matrix size")
     if n < 3:
         raise ClusteringError("cophenetic correlation needs at least 3 items")
-    original: list[float] = []
-    cophenetic: list[float] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            original.append(matrix.get(i, j))
-            cophenetic.append(dendrogram.cophenetic_distance(i, j))
-    x = np.asarray(original)
-    y = np.asarray(cophenetic)
+    x = np.asarray(matrix.values, dtype=float)
+    y = dendrogram.cophenetic_condensed()
     if np.allclose(x, x[0]) or np.allclose(y, y[0]):
         return 0.0
     return float(np.corrcoef(x, y)[0, 1])

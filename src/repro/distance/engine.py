@@ -14,7 +14,13 @@ serial :func:`repro.distance.matrix.distance_matrix` loop:
    host-Levenshtein cost drops from O(M²) to O(U²) for U unique hosts.
    Component caches return the exact floats a recomputation would, and
    the per-pair summation order mirrors ``PacketDistance.distance``
-   literally, so results are bit-identical.
+   literally, so results are bit-identical.  A chunk is evaluated as a
+   batch: every component key is one stable int over the append-only id
+   tables (``(lo << 32) | hi`` for destinations, ``(x << 32) | y`` for
+   ordered NCD — never relative to the current table size, which grows
+   under :meth:`PairStream.extend`), each distinct key is looked up once,
+   and the sums run vectorised in the same operation order.  Cache hit
+   and miss counts equal those of a pair-by-pair walk.
 2. **Batch precomputation of single-string compressed lengths.**  All
    ``C(x)`` terms are filled once up front via
    :meth:`NcdCalculator.precompute` (in the parent, before any fan-out),
@@ -161,24 +167,23 @@ class _PacketEvaluator:
         self.content_weight = metric.content_weight
         self.registry = metric.registry
         content = metric.content
-        self.use_rline = content.use_rline
-        self.use_cookie = content.use_cookie
-        self.use_body = content.use_body
+        # Columns of the id table that feed the NCD header sum, in
+        # PacketDistance's order: request line, cookie, body.
+        used = (content.use_rline, content.use_cookie, content.use_body)
+        self.header_fields = [column for column, on in zip((1, 2, 3), used) if on]
         self.ncd = NcdCalculator(content.calculator.compressor, clamp=content.calculator.clamp)
 
-        # Deduplicated per-packet field id tables, grown by add_items.
+        # Deduplicated field values and, per item, one row of ids into them
+        # (destination, request line, cookie, body); grown by add_items.
         self.destinations: list = []
         self.blobs: list[bytes] = []
         self._dest_ids: dict = {}
         self._blob_ids: dict[bytes, int] = {}
-        self.dest_of: list[int] = []
-        self.rline_of: list[int] = []
-        self.cookie_of: list[int] = []
-        self.body_of: list[int] = []
+        self.ids = np.empty((0, 4), dtype=np.int64)
 
-        # Component caches, filled on demand during chunk evaluation.
-        self._dest_cache: dict[tuple[int, int], float] = {}
-        self._ncd_cache: dict[tuple[int, int], float] = {}
+        # Component caches keyed by _pair_keys, filled on demand.
+        self._dest_cache: dict[int, float] = {}
+        self._ncd_cache: dict[int, float] = {}
 
         self.add_items(items)
 
@@ -201,82 +206,118 @@ class _PacketEvaluator:
                 self.blobs.append(blob)
             return index
 
+        rows: list[tuple[int, int, int, int]] = []
         for packet in items:
             destination = packet.destination
             index = dest_ids.get(destination)
             if index is None:
                 index = dest_ids[destination] = len(self.destinations)
                 self.destinations.append(destination)
-            self.dest_of.append(index)
-            self.rline_of.append(blob_id(packet.request_line.encode("latin-1")))
-            self.cookie_of.append(blob_id(packet.cookie.encode("latin-1")))
-            self.body_of.append(blob_id(packet.body))
+            rows.append(
+                (
+                    index,
+                    blob_id(packet.request_line.encode("latin-1")),
+                    blob_id(packet.cookie.encode("latin-1")),
+                    blob_id(packet.body),
+                )
+            )
+        if rows:
+            self.ids = np.concatenate([self.ids, np.asarray(rows, dtype=np.int64)])
 
         # C(x) for the new blobs only — workers inherit the warm table.
         if self.content_weight and len(self.blobs) > first_new_blob:
             self.ncd.precompute(self.blobs[first_new_blob:])
 
     def pairs(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, _ChunkStats]:
-        """Evaluate ``d_pkt`` for each ``(rows[t], cols[t])`` pair."""
-        out = np.empty(len(rows), dtype=float)
+        """Evaluate ``d_pkt`` for each ``(rows[t], cols[t])`` pair.
+
+        Batched over the chunk: component keys are looked up once per
+        distinct key, and the per-pair sums run vectorised in the exact
+        operation order of ``PacketDistance.distance``.
+        """
+        left = self.ids[np.asarray(rows, dtype=np.int64)]
+        right = self.ids[np.asarray(cols, dtype=np.int64)]
+        n = len(left)
         stats = _ChunkStats()
         singles = self.ncd.stats
         singles_hits0, singles_misses0 = singles.hits, singles.misses
-        dest_weight = self.destination_weight
-        content_weight = self.content_weight
-        dest_cache = self._dest_cache
-        ncd_cache = self._ncd_cache
-        destinations = self.destinations
-        blobs = self.blobs
-        ncd_distance = self.ncd.distance
-
-        def ncd_component(id_x: int, id_y: int) -> float:
-            # Ordered key: C(xy) depends on concatenation order, and the
-            # serial loop always concatenates row-item first.
-            key = (id_x, id_y)
-            value = ncd_cache.get(key)
-            if value is None:
-                value = ncd_distance(blobs[id_x], blobs[id_y])
-                ncd_cache[key] = value
-                stats.pair_misses += 1
-            else:
-                stats.pair_hits += 1
-            return value
-
-        for t in range(len(rows)):
-            i = int(rows[t])
-            j = int(cols[t])
-            total = 0.0
-            if dest_weight:
-                a, b = self.dest_of[i], self.dest_of[j]
-                key = (a, b) if a <= b else (b, a)  # every component is symmetric
-                dest = dest_cache.get(key)
-                if dest is None:
-                    dest = destination_distance(
-                        destinations[a], destinations[b], registry=self.registry
-                    )
-                    dest_cache[key] = dest
-                    stats.pair_misses += 1
-                else:
-                    stats.pair_hits += 1
-                total += dest_weight * dest
-            if content_weight:
-                header = 0.0
-                if self.use_rline:
-                    header += ncd_component(self.rline_of[i], self.rline_of[j])
-                if self.use_cookie:
-                    header += ncd_component(self.cookie_of[i], self.cookie_of[j])
-                if self.use_body:
-                    header += ncd_component(self.body_of[i], self.body_of[j])
-                total += content_weight * header
-            if not np.isfinite(total) or total < 0:
-                raise DistanceError(
-                    f"metric returned invalid value {total!r} for pair ({i}, {j})"
+        total = np.zeros(n, dtype=float)
+        if self.destination_weight:
+            a, b = left[:, 0], right[:, 0]
+            # Unordered key: every destination component is symmetric.
+            keys = _pair_keys(np.minimum(a, b), np.maximum(a, b))
+            destinations = self.destinations
+            registry = self.registry
+            dest = _lookup(
+                self._dest_cache,
+                keys,
+                stats,
+                lambda key: destination_distance(
+                    destinations[key >> 32], destinations[key & _LOW32], registry=registry
+                ),
+            )
+            total += self.destination_weight * dest
+        if self.content_weight:
+            header = np.zeros(n, dtype=float)
+            fields = self.header_fields
+            if fields:
+                # Ordered keys: C(xy) depends on concatenation order, and the
+                # serial loop always concatenates row-item first.
+                keys = _pair_keys(left[:, fields].T, right[:, fields].T).ravel()
+                blobs = self.blobs
+                ncd_distance = self.ncd.distance
+                values = _lookup(
+                    self._ncd_cache,
+                    keys,
+                    stats,
+                    lambda key: ncd_distance(blobs[key >> 32], blobs[key & _LOW32]),
                 )
-            out[t] = total
+                for part in values.reshape(len(fields), n):
+                    header += part
+            total += self.content_weight * header
+        valid = np.isfinite(total) & (total >= 0)
+        if not valid.all():
+            t = int(np.argmin(valid))
+            raise DistanceError(
+                f"metric returned invalid value {float(total[t])!r} "
+                f"for pair ({int(rows[t])}, {int(cols[t])})"
+            )
         stats.singles_hits = singles.hits - singles_hits0
         stats.singles_misses = singles.misses - singles_misses0
-        return out, stats
+        return total, stats
+
+
+_LOW32 = (1 << 32) - 1
+
+
+def _pair_keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One stable int per id pair.
+
+    Ids are positions in append-only tables, so a key never changes
+    meaning as the tables grow (a key built from the current table size
+    would alias old keys after :meth:`_PacketEvaluator.add_items`).
+    """
+    return (first << 32) | second
+
+
+def _lookup(
+    cache: dict[int, float],
+    keys: np.ndarray,
+    stats: _ChunkStats,
+    compute: Callable[[int], float],
+) -> np.ndarray:
+    """Cached component values for ``keys``, computing each new key once.
+
+    Counts one miss per distinct uncached key and a hit for every other
+    lookup — the same totals a pair-by-pair walk over ``keys`` records.
+    """
+    key_list = keys.tolist()
+    missing = [key for key in dict.fromkeys(key_list) if key not in cache]
+    for key in missing:
+        cache[key] = compute(key)
+    stats.pair_misses += len(missing)
+    stats.pair_hits += len(key_list) - len(missing)
+    return np.fromiter(map(cache.__getitem__, key_list), dtype=float, count=len(key_list))
 
 
 class _GenericEvaluator:

@@ -10,6 +10,7 @@ bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(slots=True)
@@ -143,20 +144,32 @@ def maximal_common_spans(reference: str, other: str, min_length: int = 1) -> lis
     if not reference or not other or min_length < 1:
         return []
     lengths = SuffixAutomaton(other).match_lengths(reference)
-    candidates: list[Span] = []
-    for i, length in enumerate(lengths):
-        if length >= min_length:
-            candidates.append(Span(i - length + 1, i + 1))
-    if not candidates:
-        return []
-    # A candidate ending at i is contained in one ending at i+1 iff the
-    # latter starts at or before it; keep only spans not covered by the next
-    # longer overlapping one.  Generic containment filter, O(k log k):
-    candidates.sort(key=lambda s: (s.start, -s.end))
-    maximal: list[Span] = []
+    return [Span(start, end) for start, end in maximal_spans(matched_spans(lengths, min_length))]
+
+
+def matched_spans(lengths: list[int], min_length: int, offset: int = 0) -> list[tuple[int, int]]:
+    """The span ending at each position whose match length is at least
+    ``min_length``, shifted by ``offset`` (``lengths`` as produced by
+    :meth:`SuffixAutomaton.match_lengths`)."""
+    return [
+        (offset + i - length + 1, offset + i + 1)
+        for i, length in enumerate(lengths)
+        if length >= min_length
+    ]
+
+
+def maximal_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Half-open spans not contained in another one, deduplicated and
+    sorted by start offset.
+
+    Generic containment filter, O(k log k): ordered by start and then by
+    decreasing end, a span is covered exactly when an earlier one reaches
+    at least as far.
+    """
+    kept: list[tuple[int, int]] = []
     best_end = -1
-    for span in candidates:
-        if span.end > best_end:
-            maximal.append(span)
-            best_end = span.end
-    return maximal
+    for start, end in sorted(set(spans), key=lambda span: (span[0], -span[1])):
+        if end > best_end:
+            kept.append((start, end))
+            best_end = end
+    return kept

@@ -5,7 +5,8 @@ contents in C_i."  We follow the Polygraph conjunction-signature recipe:
 the tokens of a cluster are the maximal substrings present in *every*
 member.  Extraction is iterative refinement — start from the first member
 as one giant candidate token, then intersect against each further member
-with :func:`repro.signatures.lcs.maximal_common_spans`.
+through that member's suffix automaton (the same maximal-span filter as
+:func:`repro.signatures.lcs.maximal_common_spans`).
 
 The paper also warns that careless generation yields signatures "that match
 most network packets (e.g POST *, GET *, * HTTP/1.1)"; :class:`TokenFilter`
@@ -14,10 +15,10 @@ prunes exactly that boilerplate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.signatures.lcs import maximal_common_spans
+from repro.signatures.lcs import SuffixAutomaton, matched_spans, maximal_spans
 
 #: Substrings every HTTP request contains; a token equal to (or consisting
 #: only of) these carries no discriminating power.
@@ -86,42 +87,44 @@ class TokenFilter:
         return kept
 
 
-@dataclass(slots=True)
-class _Candidate:
-    """A candidate token tracked by its span in the reference member."""
-
-    start: int
-    text: str = field(default="")
-
-
 def common_substrings(texts: Sequence[str], min_length: int = 2) -> list[str]:
     """Maximal substrings occurring in *every* text, ordered by their
     position in the first text.
 
     Iterative refinement: the candidate set starts as the whole first text
-    and is intersected against each subsequent member.  Runtime is linear
-    in total text size per member thanks to the suffix automaton.
+    and is intersected against each subsequent member.  A member gets one
+    suffix automaton, walked once per candidate span, so runtime is linear
+    in total text size per member.  A member that already contains every
+    candidate span is skipped without building one: intersecting would
+    return the same spans.  That covers members equal to the reference or
+    to an earlier member, since every surviving span already occurs in
+    every text seen so far.
 
     >>> common_substrings(["x=1&udid=abcdef&t=9", "udid=abcdef&t=10&x=2"])
-    ['udid=abcdef&t=', 'x=']
+    ['x=', '=1', 'udid=abcdef&t=']
     """
     if not texts:
         return []
     reference = texts[0]
     if len(texts) == 1:
         return [reference] if len(reference) >= min_length else []
+    if min_length < 1:
+        return []  # the maximal_common_spans convention: no span qualifies
     # Candidates are spans of the reference text.
     spans = [(0, len(reference))] if len(reference) >= min_length else []
     for other in texts[1:]:
         if not spans:
             return []
-        refined: list[tuple[int, int]] = []
-        for start, end in spans:
-            fragment = reference[start:end]
-            for sub in maximal_common_spans(fragment, other, min_length):
-                refined.append((start + sub.start, start + sub.end))
-        spans = _dedupe_spans(refined)
-    spans.sort()
+        if all(reference[start:end] in other for start, end in spans):
+            continue
+        automaton = SuffixAutomaton(other)
+        spans = maximal_spans(
+            span
+            for start, end in spans
+            for span in matched_spans(
+                automaton.match_lengths(reference[start:end]), min_length, start
+            )
+        )
     out: list[str] = []
     seen: set[str] = set()
     for start, end in spans:
@@ -130,18 +133,6 @@ def common_substrings(texts: Sequence[str], min_length: int = 2) -> list[str]:
             seen.add(text)
             out.append(text)
     return out
-
-
-def _dedupe_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Drop spans contained in other spans (and exact duplicates)."""
-    unique = sorted(set(spans), key=lambda s: (s[0], -s[1]))
-    kept: list[tuple[int, int]] = []
-    best_end = -1
-    for start, end in unique:
-        if end > best_end:
-            kept.append((start, end))
-            best_end = end
-    return kept
 
 
 def invariant_tokens(

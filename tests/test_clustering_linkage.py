@@ -101,6 +101,25 @@ class TestAgainstScipy:
         )
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_distance_rejected_up_front(self, bad):
+        m = CondensedMatrix(3, np.array([1.0, bad, 2.0]))
+        with pytest.raises(ClusteringError, match=r"pair \(0, 2\)") as info:
+            agglomerate(m)
+        assert "no active pair" not in str(info.value)
+
+    def test_first_bad_pair_is_named(self):
+        # Condensed order over 4 items: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+        m = CondensedMatrix(4, np.array([1.0, 1.0, 1.0, 1.0, -0.5, float("nan")]))
+        with pytest.raises(ClusteringError, match=r"pair \(1, 3\) is -0\.5"):
+            agglomerate(m)
+
+    def test_zero_distances_accepted(self):
+        d = agglomerate(CondensedMatrix(3, np.zeros(3)))
+        assert [m.height for m in d.merges] == [0.0, 0.0]
+
+
 class TestAssignments:
     def test_assignments_partition(self):
         d = agglomerate(matrix_from_points([0.0, 0.1, 10.0, 10.1]))

@@ -56,6 +56,29 @@ class TestCophenetic:
         theirs, __ = hierarchy.cophenet(Z, m.values)
         assert ours == pytest.approx(theirs, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "method,linkage",
+        [
+            ("average", Linkage.GROUP_AVERAGE),
+            ("single", Linkage.SINGLE),
+            ("complete", Linkage.COMPLETE),
+        ],
+    )
+    def test_condensed_vector_matches_scipy_cophenet(self, method, linkage):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(17)
+        points = list(rng.uniform(0, 100, size=30))  # tie-free almost surely
+        m = matrix_of(points)
+        theirs = hierarchy.cophenet(hierarchy.linkage(m.values, method=method))
+        ours = agglomerate(m, linkage).cophenetic_condensed()
+        assert np.allclose(ours, theirs, atol=1e-9)
+
+    def test_condensed_vector_matches_pairwise_walk(self):
+        m = matrix_of([0.0, 0.0, 1.0, 4.0, 4.0, 9.0, 2.5])  # with ties
+        d = agglomerate(m)
+        walked = [d.cophenetic_distance(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+        assert d.cophenetic_condensed().tolist() == walked
+
     def test_group_average_beats_single_on_noisy_data(self):
         rng = np.random.default_rng(5)
         points = list(rng.uniform(0, 100, size=24))
